@@ -48,7 +48,7 @@ fn measure(plan: &QrPlan, a: &dense::Matrix, reps: usize) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..reps {
         let report = plan.factor(a).expect("well-conditioned input");
-        assert!(report.orthogonality_error < 1e-12, "measured runs must stay correct");
+        assert!(report.orthogonality_error() < 1e-12, "measured runs must stay correct");
         best = best.min(report.wall_seconds);
     }
     best

@@ -70,7 +70,8 @@ fn main() {
             match plan.factor(&a) {
                 Ok(run) => println!(
                     "1e{exp}\t{measured:.2e}\t{alg}(2x4x2)\t{:.2e}\t{:.2e}",
-                    run.orthogonality_error, run.residual_error
+                    run.orthogonality_error(),
+                    run.residual_error(&a)
                 ),
                 Err(e) => println!("1e{exp}\t{measured:.2e}\t{alg}(2x4x2)\tFAILED ({e})\t-"),
             }

@@ -92,6 +92,15 @@ pub enum PlanError {
         /// `(rows, cols)` of the matrix actually supplied.
         got: (usize, usize),
     },
+    /// The matrix handed to [`factor`](super::QrPlan::factor) holds a NaN
+    /// or infinite entry. Rejected before any work, on every retry policy:
+    /// no rung can produce trustworthy factors of non-finite data.
+    NonFiniteInput {
+        /// Row of the first non-finite entry (row-major order).
+        row: usize,
+        /// Column of that entry.
+        col: usize,
+    },
     /// The factorization itself failed: the Gram matrix lost positive
     /// definiteness (ill-conditioned or rank-deficient input). Carries the
     /// offending pivot; consider [`Algorithm::CaCqr3`], which is
@@ -205,6 +214,9 @@ impl std::fmt::Display for PlanError {
                     "plan was built for a {}x{} matrix but factor() received {}x{}",
                     expected.0, expected.1, got.0, got.1
                 )
+            }
+            PlanError::NonFiniteInput { row, col } => {
+                write!(f, "input matrix has a non-finite entry at ({row}, {col})")
             }
             PlanError::NotPositiveDefinite(e) => write!(f, "factorization failed: {e}"),
             PlanError::ConditionTooHigh { estimate, limit } => {

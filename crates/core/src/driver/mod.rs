@@ -19,11 +19,23 @@
 //!    the baseline.
 //! 2. **Execute** — [`QrPlan::factor`] borrows the plan (`&self`), runs the
 //!    simulator, and returns a unified [`QrReport`]: global `Q`/`R`, the
-//!    simulated elapsed time, the per-rank α-β-γ [`CostLedger`]s, and
-//!    computed orthogonality/residual diagnostics. A plan is reusable
-//!    across any number of same-shape matrices — the batching primitive
-//!    for high-throughput workloads — and comparing algorithms is a loop
-//!    over [`Algorithm::ALL`] instead of four bespoke call sites.
+//!    simulated elapsed time, the per-rank α-β-γ [`CostLedger`]s, and a
+//!    cheap quality certificate — the O(n²) κ₁(R) estimate
+//!    [`QrReport::condition_estimate`]. A plan is reusable across any
+//!    number of same-shape matrices — the batching primitive for
+//!    high-throughput workloads — and comparing algorithms is a loop over
+//!    [`Algorithm::ALL`] instead of four bespoke call sites.
+//!
+//! # Certificate by default, diagnostics on demand
+//!
+//! A factorization costs its SPMD region; the O(mn²) orthogonality and
+//! residual checks would cost as much again. So a report carries only the
+//! certificate, and the diagnostics are methods the caller pays for when it
+//! wants them: [`QrReport::orthogonality_error`] (`‖QᵀQ − I‖_F`, one SYRK)
+//! and [`QrReport::residual_error`] (`‖A − QR‖_F / ‖A‖_F`, one gemm), both on
+//! the plan's kernel backend. Non-finite input is rejected up front with
+//! [`PlanError::NonFiniteInput`], so an `Ok` report never holds factors of
+//! NaN or Inf data.
 //!
 //! # Which layer to use when
 //!
@@ -38,8 +50,8 @@
 //! * **The expert layer** ([`crate::validate`],
 //!   [`baseline::run_pgeqrf_global`]) — single-algorithm global drivers
 //!   without validation; useful when you need a factorization *without*
-//!   the facade's diagnostics, e.g. exact cost cross-validation of one
-//!   schedule under a unit machine.
+//!   the facade's input check and certificate, e.g. exact cost
+//!   cross-validation of one schedule under a unit machine.
 //! * **The SPMD layer** ([`crate::ca_cqr2`], [`crate::cqr2_1d`],
 //!   [`baseline::pgeqrf()`], …) — per-rank algorithm bodies for custom
 //!   simulator harnesses: per-line cost measurement, fault injection,
@@ -61,8 +73,11 @@
 //!     .build()?;
 //! // Execute many times: factor borrows &self.
 //! let report = plan.factor(&a)?;
-//! assert!(report.orthogonality_error < 1e-12);
-//! assert!(report.residual_error < 1e-12);
+//! // The certificate comes with every report ...
+//! assert!(report.condition_estimate < 1e3);
+//! // ... the O(mn²) diagnostics only when asked for.
+//! assert!(report.orthogonality_error() < 1e-12);
+//! assert!(report.residual_error(&a) < 1e-12);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -253,15 +268,14 @@ pub struct EscalationAttempt {
     pub error: Option<Box<PlanError>>,
 }
 
-/// The record of a policy-enabled factorization: every rung attempted (in
-/// order, with per-attempt errors) and the κ₁ estimate of the accepted `R`.
+/// The record of a policy-enabled factorization: every rung attempted, in
+/// order, with per-attempt errors. The accepted `R`'s κ₁ estimate is the
+/// report's [`QrReport::condition_estimate`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct EscalationReport {
     /// Attempted rungs in execution order; the last entry is the accepted
     /// one (its `error` is `None`).
     pub attempts: Vec<EscalationAttempt>,
-    /// Hager–Higham κ₁ estimate of the accepted `R`.
-    pub condition_estimate: f64,
 }
 
 impl EscalationReport {
@@ -481,20 +495,18 @@ impl QrPlan {
     ///
     /// Borrows the plan immutably: one plan can factor any number of
     /// same-shape matrices (sequentially or from multiple threads). The
-    /// only runtime errors are a shape mismatch between `a` and the plan,
-    /// and loss of positive definiteness on ill-conditioned input
-    /// ([`PlanError::NotPositiveDefinite`] — see [`Algorithm::CaCqr3`] for
-    /// the unconditionally stable variant).
+    /// runtime errors are a shape mismatch between `a` and the plan,
+    /// non-finite entries in `a` ([`PlanError::NonFiniteInput`], found by
+    /// one O(mn) scan before any work), and loss of positive definiteness
+    /// on ill-conditioned input ([`PlanError::NotPositiveDefinite`] — see
+    /// [`Algorithm::CaCqr3`] for the unconditionally stable variant).
     ///
-    /// The returned report carries *computed* diagnostics — one `m × n × n`
-    /// gemm for the residual and one `n × n` Gram product for
-    /// orthogonality. That is a small constant factor next to the simulated
-    /// execution itself (which performs all `P` ranks' arithmetic in this
-    /// process), and it keeps the report self-contained: the alternative —
-    /// lazy diagnostics — would have to retain a copy of `a` inside every
-    /// report, which is strictly worse for the batching path. Callers that
-    /// need the factors with *no* post-processing at all belong on the
-    /// expert layer ([`crate::validate`]).
+    /// Beyond the SPMD region, the only work is the O(n²) κ₁(R) estimate
+    /// stored in [`QrReport::condition_estimate`]. The O(mn²)
+    /// orthogonality and residual diagnostics are not computed here: call
+    /// [`QrReport::orthogonality_error`] or [`QrReport::residual_error`]
+    /// (passing `a` back) when they are wanted, so the report never
+    /// retains a copy of the input.
     pub fn factor(&self, a: &Matrix) -> Result<QrReport, PlanError> {
         self.factor_with_policy(a, self.retry)
     }
@@ -518,10 +530,17 @@ impl QrPlan {
                 got: (a.rows(), a.cols()),
             });
         }
+        if let Some(index) = a.data().iter().position(|v| !v.is_finite()) {
+            return Err(PlanError::NonFiniteInput {
+                row: index / self.n,
+                col: index % self.n,
+            });
+        }
         let cfg = SimConfig::with_machine(self.machine).on_runtime(self.runtime);
         if !policy.is_enabled() {
             let run = self.run_exec(self.exec, a, cfg)?;
-            return Ok(QrReport::from_run(self.algorithm, a, run));
+            let kappa = dense::cond_estimate(run.r.as_ref());
+            return Ok(self.report(self.algorithm, run, kappa, None));
         }
         let rungs: Vec<(Algorithm, Exec)> = std::iter::once((self.algorithm, self.exec))
             .chain(self.ladder.iter().copied())
@@ -543,12 +562,7 @@ impl QrPlan {
                     // does not degrade with κ the way the Gram path does.
                     if kappa <= policy.kappa_max || i == terminal {
                         attempts.push(EscalationAttempt { algorithm, error: None });
-                        let mut report = QrReport::from_run(algorithm, a, run);
-                        report.escalation = Some(EscalationReport {
-                            attempts,
-                            condition_estimate: kappa,
-                        });
-                        return Ok(report);
+                        return Ok(self.report(algorithm, run, kappa, Some(EscalationReport { attempts })));
                     }
                     attempts.push(EscalationAttempt {
                         algorithm,
@@ -565,6 +579,22 @@ impl QrPlan {
             }
         }
         Err(PlanError::EscalationExhausted { attempts })
+    }
+
+    /// Wraps a finished run: `kappa` is the κ₁(R) estimate the caller
+    /// already computed, so each result is estimated exactly once.
+    fn report(&self, algorithm: Algorithm, run: QrRun, kappa: f64, escalation: Option<EscalationReport>) -> QrReport {
+        QrReport {
+            algorithm,
+            q: run.q,
+            r: run.r,
+            elapsed: run.elapsed,
+            wall_seconds: run.wall_seconds,
+            ledgers: run.ledgers,
+            condition_estimate: kappa,
+            backend: self.backend,
+            escalation,
+        }
     }
 
     /// Runs one execution recipe against the plan's pooled arenas. The
@@ -858,8 +888,12 @@ impl QrPlanBuilder {
     }
 }
 
-/// A completed factorization: global factors, cost accounting, and
-/// numerical diagnostics — the same shape for every [`Algorithm`].
+/// A completed factorization: global factors, cost accounting, and a
+/// quality certificate — the same shape for every [`Algorithm`].
+///
+/// The certificate, [`condition_estimate`](QrReport::condition_estimate),
+/// is O(n²) and always present. The O(mn²) diagnostics are methods,
+/// computed on the plan's kernel backend only when called.
 #[derive(Clone, Debug)]
 pub struct QrReport {
     /// The algorithm that produced this report — under an enabled
@@ -878,32 +912,30 @@ pub struct QrReport {
     pub wall_seconds: f64,
     /// Per-rank α-β-γ cost ledgers.
     pub ledgers: Vec<CostLedger>,
-    /// `‖QᵀQ − I‖_F` — deviation from orthogonality.
-    pub orthogonality_error: f64,
-    /// `‖A − QR‖_F / ‖A‖_F` — relative residual.
-    pub residual_error: f64,
+    /// Hager–Higham κ₁ estimate of `R` ([`dense::cond_estimate`]): the
+    /// result's quality certificate. The CQR2 family keeps `Q` orthogonal
+    /// to working accuracy while κ ≲ 1/√ε; this is also the value an
+    /// enabled [`RetryPolicy`] gates on.
+    pub condition_estimate: f64,
+    /// The kernel backend the on-demand diagnostics run on (the plan's).
+    pub backend: BackendKind,
     /// The escalation record of a policy-enabled factorization: the full
-    /// attempt chain with per-attempt errors and the accepted `R`'s κ₁
-    /// estimate. `None` under the default [`RetryPolicy::none`] (the single
-    /// classic attempt).
+    /// attempt chain with per-attempt errors. `None` under the default
+    /// [`RetryPolicy::none`] (the single classic attempt).
     pub escalation: Option<EscalationReport>,
 }
 
 impl QrReport {
-    fn from_run(algorithm: Algorithm, a: &Matrix, run: QrRun) -> QrReport {
-        let orthogonality_error = norms::orthogonality_error(run.q.as_ref());
-        let residual_error = norms::residual_error(a.as_ref(), run.q.as_ref(), run.r.as_ref());
-        QrReport {
-            algorithm,
-            q: run.q,
-            r: run.r,
-            elapsed: run.elapsed,
-            wall_seconds: run.wall_seconds,
-            ledgers: run.ledgers,
-            orthogonality_error,
-            residual_error,
-            escalation: None,
-        }
+    /// `‖QᵀQ − I‖_F` — deviation from orthogonality, computed now with the
+    /// report's backend SYRK (O(mn²)).
+    pub fn orthogonality_error(&self) -> f64 {
+        norms::orthogonality_error_with(self.backend.get(), self.q.as_ref())
+    }
+
+    /// `‖A − QR‖_F / ‖A‖_F` — relative residual against the factored input
+    /// `a`, computed now with the report's backend gemm (O(mn²)).
+    pub fn residual_error(&self, a: &Matrix) -> f64 {
+        norms::residual_error_with(self.backend.get(), a.as_ref(), self.q.as_ref(), self.r.as_ref())
     }
 
     /// Total flops charged across all ranks.
@@ -934,8 +966,8 @@ mod tests {
         let b = well_conditioned(32, 8, 2);
         let ra = plan.factor(&a).unwrap();
         let rb = plan.factor(&b).unwrap();
-        assert!(ra.orthogonality_error < 1e-12);
-        assert!(rb.orthogonality_error < 1e-12);
+        assert!(ra.orthogonality_error() < 1e-12);
+        assert!(rb.orthogonality_error() < 1e-12);
         assert_ne!(ra.r, rb.r, "different inputs, different factors");
         // Re-factoring the same input is bitwise reproducible — including
         // through a clone, which shares the warmed workspace pool.
@@ -1060,8 +1092,8 @@ mod tests {
         assert_eq!(esc.attempts.len(), 1);
         assert_eq!(esc.attempts[0].algorithm, Algorithm::CaCqr2);
         assert!(esc.attempts[0].error.is_none());
-        assert!(esc.condition_estimate >= 1.0);
-        assert!(esc.condition_estimate <= RetryPolicy::DEFAULT_KAPPA_MAX);
+        assert!(report.condition_estimate >= 1.0);
+        assert!(report.condition_estimate <= RetryPolicy::DEFAULT_KAPPA_MAX);
         assert_eq!(report.algorithm, Algorithm::CaCqr2);
     }
 
@@ -1091,8 +1123,9 @@ mod tests {
         assert!(esc.attempts.last().unwrap().error.is_none());
         // The escalated result matches direct PGEQRF to batch-CQR2-grade
         // bounds: orthogonality at working accuracy.
-        assert!(report.orthogonality_error < 1e-12, "got {}", report.orthogonality_error);
-        assert!(report.residual_error < 1e-12, "got {}", report.residual_error);
+        let (orth, res) = (report.orthogonality_error(), report.residual_error(&hard));
+        assert!(orth < 1e-12, "got {orth}");
+        assert!(res < 1e-12, "got {res}");
     }
 
     #[test]
@@ -1117,7 +1150,10 @@ mod tests {
             at.error.as_deref(),
             Some(PlanError::ConditionTooHigh { limit, .. }) if *limit == 10.0
         )));
-        assert!(esc.condition_estimate > 10.0, "the input really is worse than the gate");
+        assert!(
+            report.condition_estimate > 10.0,
+            "the input really is worse than the gate"
+        );
     }
 
     #[test]

@@ -21,7 +21,10 @@
 //!    [`factor_many`](QrService::factor_many)) splits onto its worker's own
 //!    deque, idle workers steal the splits, and the schedule never changes
 //!    results. Each job resolves to a [`JobHandle`]; [`JobHandle::wait`]
-//!    delivers the [`QrReport`] or a typed [`ServiceError`].
+//!    delivers the [`QrReport`] or a typed [`ServiceError`]. A job costs
+//!    its factorization: the report carries the O(n²) κ₁ certificate
+//!    ([`QrReport::condition_estimate`]), and the O(mn²) diagnostics run
+//!    only when the caller asks the report for them.
 //! 3. **Zero-copy submission** — jobs carry a [`JobInput`]: an owned
 //!    [`Matrix`] or a shared `Arc<Matrix>` ([`QrService::submit_ref`]), so
 //!    a caller fanning one operand out — or keeping its own copy — never
@@ -77,7 +80,9 @@
 //!     .collect();
 //! let reports = service.factor_many(&spec, batch)?;
 //! assert_eq!(reports.len(), 4);
-//! assert!(reports.iter().all(|r| r.orthogonality_error < 1e-12));
+//! // Every report is certified; diagnostics cost O(mn²) and are opt-in.
+//! assert!(reports.iter().all(|r| r.condition_estimate < 1e3));
+//! assert!(reports.iter().all(|r| r.orthogonality_error() < 1e-12));
 //! // Repeat shapes hit the cache: the same Arc<QrPlan>, not a rebuild.
 //! assert!(std::sync::Arc::ptr_eq(&service.plan(&spec)?, &service.plan(&spec)?));
 //! // Telemetry: four panels completed, latencies recorded.
@@ -1614,10 +1619,10 @@ mod tests {
     fn submit_and_wait_round_trip() {
         let service = QrService::builder().workers(2).build();
         let a = well_conditioned(64, 16, 7);
-        let handle = service.submit(&spec_64x16(), a).unwrap();
+        let handle = service.submit(&spec_64x16(), a.clone()).unwrap();
         let report = handle.wait().unwrap();
-        assert!(report.orthogonality_error < 1e-12);
-        assert!(report.residual_error < 1e-12);
+        assert!(report.orthogonality_error() < 1e-12);
+        assert!(report.residual_error(&a) < 1e-12);
         let stats = service.stats();
         assert_eq!(stats.completed, 1);
         assert_eq!(stats.end_to_end.count, 1);
@@ -1827,7 +1832,7 @@ mod tests {
             .unwrap()
             .wait()
             .unwrap();
-        assert!(report.orthogonality_error < 1e-12);
+        assert!(report.orthogonality_error() < 1e-12);
     }
 
     #[test]

@@ -32,7 +32,9 @@
 //! current row set by running the paper's *second CholeskyQR pass* on
 //! `A·R⁻¹` — the same repair step that gives batch CQR2 its ε-level
 //! orthogonality — and returns it with freshly computed
-//! orthogonality/residual diagnostics, updating the internal `R` to the
+//! orthogonality/residual diagnostics (on the plan's kernel backend, the
+//! same `dense::norms::*_with` path as [`QrReport`](crate::driver::QrReport)'s
+//! on-demand methods), updating the internal `R` to the
 //! repaired factor (a snapshot therefore counts as a refresh). Streams
 //! opened with [`with_history(false)`](StreamingQr::with_history) keep no
 //! row copies: appends and downdates still work, but snapshots are R-only
@@ -950,8 +952,9 @@ impl StreamingQr {
         self.updates_since_refresh = 0;
         self.refreshes += 1;
         self.last_refresh_error = None;
-        let orthogonality = norms::orthogonality_error(q.as_ref());
-        let residual = norms::residual_error(a.as_ref(), q.as_ref(), self.r.as_ref());
+        let backend = self.plan.backend().get();
+        let orthogonality = norms::orthogonality_error_with(backend, q.as_ref());
+        let residual = norms::residual_error_with(backend, a.as_ref(), q.as_ref(), self.r.as_ref());
         Ok(StreamSnapshot {
             q: Some(q),
             r: self.r.clone(),

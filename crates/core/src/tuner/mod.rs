@@ -43,8 +43,10 @@
 //!
 //! // One line: enumerate, score, pick, validate.
 //! let plan = QrPlan::auto(256, 32)?;
-//! let report = plan.factor(&dense::random::well_conditioned(256, 32, 1))?;
-//! assert!(report.orthogonality_error < 1e-12);
+//! let a = dense::random::well_conditioned(256, 32, 1);
+//! let report = plan.factor(&a)?;
+//! assert!(report.condition_estimate < 1e3);
+//! assert!(report.residual_error(&a) < 1e-12);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -622,7 +624,7 @@ mod tests {
         // The winner builds and factors.
         let plan = report.best_plan(Machine::zero()).unwrap();
         let out = plan.factor(&well_conditioned(256, 32, 3)).unwrap();
-        assert!(out.orthogonality_error < 1e-12);
+        assert!(out.orthogonality_error() < 1e-12);
     }
 
     #[test]

@@ -31,7 +31,8 @@
 //! * [`svd`] — one-sided Jacobi SVD, used to measure condition numbers.
 //!   (Pure BLAS-1 column rotations — there is no BLAS-3 call to route
 //!   through a backend.)
-//! * [`norms`] — error metrics (orthogonality, residual, triangularity).
+//! * [`norms`] — error metrics (orthogonality, residual, triangularity); the
+//!   `*_with` variants run them through a [`Backend`].
 //! * [`probe`] — timed microkernel probes measuring the live machine's
 //!   effective flop rate per backend (the autotuner's calibration input).
 //! * [`random`] — seeded Gaussian matrices and prescribed-κ test matrices.
@@ -78,7 +79,9 @@ pub use fault::FaultPlan;
 pub use gemm::{gemm, matmul, Trans};
 pub use householder::{form_q, householder_qr, QrFactors};
 pub use matrix::{MatMut, MatRef, Matrix};
-pub use norms::{frobenius, max_abs, orthogonality_error, residual_error};
+pub use norms::{
+    frobenius, max_abs, orthogonality_error, orthogonality_error_with, residual_error, residual_error_with,
+};
 pub use probe::{
     default_append_probe, default_probe, default_syrk_probe, probe_append, probe_gemm, probe_syrk, ProbeKernel,
     ProbeReport,

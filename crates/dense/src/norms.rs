@@ -1,5 +1,11 @@
 //! Error metrics used by the correctness tests and the stability experiments.
+//!
+//! The backend-free functions run on the naive oracle kernels and are the
+//! reference the test suites check against. The `*_with` variants compute
+//! the same quantities through a [`Backend`] (blocked SYRK/gemm), for
+//! callers that want diagnostics at kernel speed.
 
+use crate::backend::Backend;
 use crate::gemm::{gemm, matmul, Trans};
 use crate::matrix::{MatRef, Matrix};
 
@@ -31,9 +37,18 @@ pub fn max_abs(a: MatRef<'_>) -> f64 {
 /// Householder QR and CQR2 on well-conditioned input, ≈ `ε·κ(A)²` for plain
 /// CholeskyQR.
 pub fn orthogonality_error(q: MatRef<'_>) -> f64 {
-    let n = q.cols();
-    let mut g = matmul(q, Trans::Yes, q, Trans::No);
-    for i in 0..n {
+    identity_deviation(matmul(q, Trans::Yes, q, Trans::No))
+}
+
+/// [`orthogonality_error`] with the Gram matrix `QᵀQ` formed by
+/// `backend`'s SYRK.
+pub fn orthogonality_error_with(backend: &dyn Backend, q: MatRef<'_>) -> f64 {
+    identity_deviation(backend.syrk(q))
+}
+
+/// `‖G − I‖_F` for a square `G`.
+fn identity_deviation(mut g: Matrix) -> f64 {
+    for i in 0..g.rows() {
         let v = g.get(i, i);
         g.set(i, i, v - 1.0);
     }
@@ -45,6 +60,19 @@ pub fn residual_error(a: MatRef<'_>, q: MatRef<'_>, r: MatRef<'_>) -> f64 {
     let mut d = a.to_owned();
     gemm(-1.0, q, Trans::No, r, Trans::No, 1.0, d.as_mut());
     frobenius(d.as_ref()) / frobenius(a)
+}
+
+/// [`residual_error`] with `A − QR` formed by `backend`'s gemm. An exact
+/// factorization of the zero matrix reports `0`, not `0/0`.
+pub fn residual_error_with(backend: &dyn Backend, a: MatRef<'_>, q: MatRef<'_>, r: MatRef<'_>) -> f64 {
+    let mut d = a.to_owned();
+    backend.gemm(-1.0, q, Trans::No, r, Trans::No, 1.0, d.as_mut());
+    let diff = frobenius(d.as_ref());
+    if diff == 0.0 {
+        0.0
+    } else {
+        diff / frobenius(a)
+    }
 }
 
 /// Frobenius norm of the strictly-lower part (how far from upper triangular).
@@ -118,6 +146,37 @@ mod tests {
         let mut q = Matrix::identity(3);
         q.set(0, 0, 2.0);
         assert!(orthogonality_error(q.as_ref()) > 1.0);
+    }
+
+    #[test]
+    fn backend_diagnostics_match_the_oracle() {
+        let a = crate::random::well_conditioned(96, 12, 3);
+        let (q, r) = qr(&a);
+        let tol = 4.0 * 12.0 * f64::EPSILON;
+        for kind in crate::BackendKind::ALL {
+            let be = kind.get();
+            let orth = orthogonality_error_with(be, q.as_ref());
+            assert!((orth - orthogonality_error(q.as_ref())).abs() < tol, "{kind}");
+            let res = residual_error_with(be, a.as_ref(), q.as_ref(), r.as_ref());
+            assert!(
+                (res - residual_error(a.as_ref(), q.as_ref(), r.as_ref())).abs() < tol,
+                "{kind}"
+            );
+        }
+    }
+
+    #[test]
+    fn zero_matrix_residual_is_zero_not_nan() {
+        let a = Matrix::zeros(8, 3);
+        let q = Matrix::from_fn(8, 3, |i, j| if i == j { 1.0 } else { 0.0 });
+        let r = Matrix::zeros(3, 3);
+        assert!(
+            residual_error(a.as_ref(), q.as_ref(), r.as_ref()).is_nan(),
+            "the oracle is unchanged"
+        );
+        for kind in crate::BackendKind::ALL {
+            assert_eq!(residual_error_with(kind.get(), a.as_ref(), q.as_ref(), r.as_ref()), 0.0);
+        }
     }
 
     #[test]

@@ -27,8 +27,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let a = ca_cqr2::dense::random::well_conditioned(m, n, 1);
     let report = plan.factor(&a)?;
     println!(
-        "  orthogonality {:.2e}, residual {:.2e}",
-        report.orthogonality_error, report.residual_error
+        "  κ₁ {:.1e} (certificate), orthogonality {:.2e}, residual {:.2e} (on demand)",
+        report.condition_estimate,
+        report.orthogonality_error(),
+        report.residual_error(&a)
     );
 
     // --- 2. Calibrated tuning: model proposes, stopwatch disposes. ---

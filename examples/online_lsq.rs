@@ -89,7 +89,14 @@ fn main() {
     assert!(worst < 0.05, "the slid window still covers the model");
 
     // Snapshot: explicit Q plus batch-grade diagnostics (the CQR2 repair
-    // pass runs under the hood, so the bounds match a from-scratch factor).
+    // pass runs under the hood, so the bounds match a from-scratch factor;
+    // the diagnostics run on the plan's kernel backend). Between snapshots
+    // the stream's cheap certificate is its κ estimate and drift bound.
+    println!(
+        "  before snapshot: κ ≈ {:.1e}, drift {:.1e}",
+        stream.condition_estimate(),
+        stream.drift()
+    );
     let snap = stream.snapshot().expect("well-conditioned window");
     println!(
         "  snapshot: {} rows, orthogonality {:.2e}, residual {:.2e}, {} refreshes",

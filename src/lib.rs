@@ -11,7 +11,9 @@
 //! validated facade with a plan/execute split: build a [`QrPlan`] once,
 //! then [`factor`](QrPlan::factor) any number of same-shape matrices, each
 //! returning a unified [`QrReport`] (global `Q`/`R`, simulated time,
-//! per-rank cost ledgers, numerical diagnostics).
+//! per-rank cost ledgers, and the O(n²) κ₁(R) quality certificate
+//! [`QrReport::condition_estimate`]). The O(mn²) orthogonality and residual
+//! diagnostics are methods on the report, computed only when called.
 //!
 //! ```
 //! use ca_cqr2::{Algorithm, QrPlan};
@@ -25,7 +27,9 @@
 //!     .machine(Machine::stampede2(64))
 //!     .build()?;
 //! let report = plan.factor(&a)?;
-//! assert!(report.orthogonality_error < 1e-12);
+//! assert!(report.condition_estimate < 1e3); // certificate: always there
+//! assert!(report.orthogonality_error() < 1e-12); // diagnostics: on demand
+//! assert!(report.residual_error(&a) < 1e-12);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!

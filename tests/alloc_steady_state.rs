@@ -18,13 +18,17 @@
 //!    must be exactly zero.
 //!
 //! This file is its own test binary because a `#[global_allocator]` is
-//! per-binary state.
+//! per-binary state. That allocator counts process-wide, so a test running
+//! beside another would see its sibling's allocations: every test takes
+//! [`serial`] first, and the binary's tests run one at a time under the
+//! default parallel harness.
 
 use cacqr::{Algorithm, QrPlan};
 use dense::random::{gaussian_matrix, well_conditioned};
 use pargrid::GridShape;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// A counting wrapper over the system allocator.
 struct CountingAllocator;
@@ -66,6 +70,13 @@ fn allocations() -> usize {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
+/// Serialises this binary's tests; hold the guard for the whole test. A
+/// failed test poisons the lock, which must not fail the tests after it.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// Factor repeatedly, returning per-call global allocation counts after the
 /// pool has converged.
 fn steady_state_counts(plan: &QrPlan, a: &dense::Matrix, calls: usize) -> Vec<usize> {
@@ -76,8 +87,9 @@ fn steady_state_counts(plan: &QrPlan, a: &dense::Matrix, calls: usize) -> Vec<us
         .map(|_| {
             let before = allocations();
             let report = plan.factor(a).expect("well-conditioned input");
-            assert!(report.orthogonality_error < 1e-12, "reuse must not corrupt results");
-            allocations() - before
+            let delta = allocations() - before;
+            assert!(report.orthogonality_error() < 1e-12, "reuse must not corrupt results");
+            delta
         })
         .collect()
 }
@@ -120,6 +132,7 @@ fn check_plan(name: &str, plan: QrPlan, a: &dense::Matrix) {
 #[test]
 fn shm_collectives_hot_path_is_allocation_free() {
     use simgrid::{run_spmd_pooled, Rank, RuntimeKind, SimConfig};
+    let _serial = serial();
 
     fn rounds(rank: &mut Rank, world: &simgrid::Comm, n: usize) {
         for _ in 0..n {
@@ -166,6 +179,7 @@ fn shm_collectives_hot_path_is_allocation_free() {
 /// arena contract as the simulated backend.
 #[test]
 fn shm_factor_is_allocation_free_at_steady_state() {
+    let _serial = serial();
     let a = well_conditioned(256, 32, 19);
     let plan = QrPlan::new(256, 32)
         .algorithm(Algorithm::CaCqr2)
@@ -197,6 +211,7 @@ fn shm_factor_is_allocation_free_at_steady_state() {
 
 #[test]
 fn cqr2_1d_factor_is_allocation_free_at_steady_state() {
+    let _serial = serial();
     let a = well_conditioned(256, 32, 11);
     let plan = QrPlan::new(256, 32)
         .algorithm(Algorithm::Cqr2_1d)
@@ -208,6 +223,7 @@ fn cqr2_1d_factor_is_allocation_free_at_steady_state() {
 
 #[test]
 fn ca_cqr2_factor_is_allocation_free_at_steady_state() {
+    let _serial = serial();
     let a = well_conditioned(256, 32, 13);
     let plan = QrPlan::new(256, 32)
         .algorithm(Algorithm::CaCqr2)
@@ -226,6 +242,7 @@ fn ca_cqr2_factor_is_allocation_free_at_steady_state() {
 /// `potrf_ws`) are covered.
 #[test]
 fn warm_stream_appends_are_allocation_free() {
+    let _serial = serial();
     for &(n, name) in &[(32usize, "unblocked"), (96, "blocked")] {
         let (m0, k) = (256usize, 8usize);
         let a0 = well_conditioned(m0, n, 29);
@@ -273,6 +290,7 @@ fn warm_stream_appends_are_allocation_free() {
 /// residual row, both drawn from the plan's pooled arenas.
 #[test]
 fn warm_stream_solves_are_allocation_free() {
+    let _serial = serial();
     let (m0, n, k, nrhs) = (256usize, 32usize, 8usize, 2usize);
     let a0 = well_conditioned(m0, n, 43);
     let b0 = gaussian_matrix(m0, nrhs, 44);
@@ -328,6 +346,7 @@ fn warm_stream_solves_are_allocation_free() {
 #[test]
 fn submit_ref_performs_no_operand_clone() {
     use cacqr::service::{JobSpec, QrService};
+    let _serial = serial();
 
     let (m, n) = (136usize, 8usize);
     let spec = JobSpec::new(m, n)
@@ -375,6 +394,7 @@ fn submit_ref_performs_no_operand_clone() {
 /// plan's whole scratch footprint, visible and bounded.
 #[test]
 fn workspace_footprint_is_observable_and_bounded() {
+    let _serial = serial();
     let (m, n) = (256usize, 32usize);
     let a = well_conditioned(m, n, 17);
     let plan = QrPlan::new(m, n).grid(GridShape::new(2, 4).unwrap()).build().unwrap();

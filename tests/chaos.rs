@@ -212,7 +212,7 @@ fn injected_worker_panics_stay_isolated_and_the_pool_survives() {
             .expect("accepting")
             .wait()
             .expect("the pool must survive isolated panics");
-        assert!(report.orthogonality_error < 1e-12);
+        assert!(report.orthogonality_error() < 1e-12);
     });
 }
 

@@ -80,7 +80,7 @@ fn driver_surfaces_errors_not_panics() {
         .build()
         .unwrap();
     let report = plan3.factor(&a).expect("CA-CQR3 is unconditionally stable");
-    assert!(report.orthogonality_error < 1e-12);
+    assert!(report.orthogonality_error() < 1e-12);
 }
 
 #[test]

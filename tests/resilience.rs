@@ -60,8 +60,13 @@ fn kappa_1e9_input_completes_via_escalation_and_matches_pgeqrf() {
     assert_ne!(report.algorithm, Algorithm::CaCqr2);
 
     // Batch-CQR2-grade accuracy from the escalated result...
-    assert!(report.orthogonality_error < 1e-12, "got {}", report.orthogonality_error);
-    assert!(report.residual_error < 1e-12, "got {}", report.residual_error);
+    assert!(
+        report.orthogonality_error() < 1e-12,
+        "got {}",
+        report.orthogonality_error()
+    );
+    let res = report.residual_error(&hard);
+    assert!(res < 1e-12, "got {res}");
 
     // ...and agreement with a direct PGEQRF factorization of the same
     // input, up to the row-sign convention, at the accuracy CQR2's own
@@ -104,7 +109,44 @@ fn escalation_report_is_deterministic_across_repeats() {
     assert_eq!(r1.r.data(), r2.r.data(), "ladder walks are bitwise reproducible");
     let (e1, e2) = (r1.escalation.unwrap(), r2.escalation.unwrap());
     assert_eq!(e1.attempts.len(), e2.attempts.len());
-    assert_eq!(e1.condition_estimate.to_bits(), e2.condition_estimate.to_bits());
+    assert_eq!(r1.condition_estimate.to_bits(), r2.condition_estimate.to_bits());
+}
+
+/// NaN and Inf input is a typed error on every entry point, with or without
+/// escalation: no rung, not even the terminal Householder one, may return
+/// `Ok` with factors of non-finite data.
+#[test]
+fn non_finite_input_is_a_typed_error_on_every_entry_point() {
+    let (m, n) = (64usize, 16usize);
+    let spec = JobSpec::new(m, n).grid(GridShape::new(2, 2).unwrap());
+    let service = QrService::builder().workers(2).build();
+    let plan = service.plan(&spec).unwrap();
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let mut a = well_conditioned(m, n, 3);
+        a.set(m - 1, n - 1, bad);
+        let want = PlanError::NonFiniteInput { row: m - 1, col: n - 1 };
+        assert_eq!(plan.factor(&a).unwrap_err(), want, "factor, {bad}");
+        assert_eq!(
+            plan.factor_with_policy(&a, RetryPolicy::escalate()).unwrap_err(),
+            want,
+            "factor_with_policy(escalate), {bad}"
+        );
+        assert_eq!(
+            service.submit(&spec, a.clone()).unwrap().wait().unwrap_err(),
+            ServiceError::Plan(want.clone()),
+            "submit, {bad}"
+        );
+        assert_eq!(
+            service
+                .submit(&spec.retry(RetryPolicy::escalate()), a.clone())
+                .unwrap()
+                .wait()
+                .unwrap_err(),
+            ServiceError::Plan(want.clone()),
+            "submit with escalation, {bad}"
+        );
+        assert_eq!(plan.stream(&a).unwrap_err(), want, "stream open, {bad}");
+    }
 }
 
 /// A window whose trailing block is numerically singular once the leading

@@ -53,20 +53,21 @@ fn concurrent_mixed_load_holds_numerical_invariants() {
                 for i in 0..jobs_per_thread {
                     let spec = &specs[(t + i) % specs.len()];
                     let seed = (t * 1000 + i) as u64;
+                    let a = input_for(spec, seed);
                     let report = service
-                        .submit(spec, input_for(spec, seed))
+                        .submit(spec, a.clone())
                         .expect("submission of a valid spec must be accepted")
                         .wait()
                         .expect("well-conditioned input must factor");
                     assert!(
-                        report.orthogonality_error < 1e-11,
+                        report.orthogonality_error() < 1e-11,
                         "orthogonality bound violated under load: {:.3e} (spec {spec:?}, seed {seed})",
-                        report.orthogonality_error
+                        report.orthogonality_error()
                     );
                     assert!(
-                        report.residual_error < 1e-11,
+                        report.residual_error(&a) < 1e-11,
                         "residual bound violated under load: {:.3e} (spec {spec:?}, seed {seed})",
-                        report.residual_error
+                        report.residual_error(&a)
                     );
                     assert_eq!(report.q.rows(), spec.m());
                     assert_eq!(report.r.rows(), spec.n());
@@ -175,7 +176,7 @@ fn typed_errors_flow_through_the_pool() {
         .unwrap()
         .wait()
         .unwrap();
-    assert!(ok.orthogonality_error < 1e-12);
+    assert!(ok.orthogonality_error() < 1e-12);
 }
 
 #[test]

@@ -64,7 +64,7 @@ fn distributed_cacqr2_inherits_sequential_stability() {
         .unwrap()
         .factor(&a)
         .unwrap();
-    assert!(run.orthogonality_error < 5e-14);
+    assert!(run.orthogonality_error() < 5e-14);
 }
 
 #[test]

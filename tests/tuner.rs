@@ -203,7 +203,7 @@ fn service_preloads_profiles_into_an_observable_cache() {
         .unwrap()
         .wait()
         .unwrap();
-    assert!(report.orthogonality_error < 1e-12);
+    assert!(report.orthogonality_error() < 1e-12);
 
     // plan_auto re-derives the same tuned spec and hits the same cache
     // entry, pointer-equal.
